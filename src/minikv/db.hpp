@@ -22,12 +22,10 @@
 //    for tests; the flush is off the readrandom hot path anyway).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -196,9 +194,11 @@ class DB {
   /// REQUIRES: central mutex held.
   void flush_memtable_locked() HEMLOCK_REQUIRES(mu_.value) {
     if (mem_->entries() == 0) return;
-    auto sorted = mem_->snapshot_sorted();
-    auto table = std::make_shared<ImmutableTable>(
-        next_table_id_++, std::move(sorted), options_.block_fanout);
+    TableBuilder builder(options_.block_fanout);
+    for (MemTable::Cursor c(*mem_, Slice()); c.valid(); c.next()) {
+      builder.add(c.key(), c.value());
+    }
+    auto table = builder.finish(next_table_id_++);
     // Copy-on-write version bump: concurrent readers keep their
     // snapshot; new readers see the new table first.
     auto next = std::make_shared<TableVersion>();
@@ -216,24 +216,9 @@ class DB {
   /// into a single replacement table. REQUIRES: central mutex held;
   /// `v` not yet published (readers keep their old snapshots).
   void compact_locked(TableVersion* v) HEMLOCK_REQUIRES(mu_.value) {
-    std::vector<std::pair<std::string, std::string>> merged;
-    std::unordered_set<std::string> seen;
-    for (const auto& table : v->tables) {  // newest first: first wins
-      for (std::size_t b = 0; b < table->num_blocks(); ++b) {
-        const auto block = table->read_block(b);
-        for (const auto& [k, val] : block->entries) {
-          if (seen.insert(k).second) merged.emplace_back(k, val);
-        }
-      }
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) {
-                return Slice(a.first).compare(Slice(b.first)) < 0;
-              });
-    auto compacted = std::make_shared<ImmutableTable>(
-        next_table_id_++, std::move(merged), options_.block_fanout);
-    v->tables.clear();
-    v->tables.push_back(std::move(compacted));
+    v->tables.assign(1, merge_tables(*v, options_.block_fanout,
+                                     next_table_id_++,
+                                     [](const Slice&) { return true; }));
     ++compactions_;
   }
 

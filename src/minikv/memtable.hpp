@@ -14,66 +14,15 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "minikv/arena.hpp"
+#include "minikv/coding.hpp"
 #include "minikv/skiplist.hpp"
 #include "minikv/slice.hpp"
 
 namespace hemlock::minikv {
 
 namespace detail {
-
-/// Varint32 encode (LevelDB wire format); returns past-the-end.
-inline char* encode_varint32(char* dst, std::uint32_t v) {
-  auto* ptr = reinterpret_cast<std::uint8_t*>(dst);
-  static constexpr int kMsb = 128;
-  while (v >= kMsb) {
-    *(ptr++) = static_cast<std::uint8_t>(v | kMsb);
-    v >>= 7;
-  }
-  *(ptr++) = static_cast<std::uint8_t>(v);
-  return reinterpret_cast<char*>(ptr);
-}
-
-/// Varint32 decode; advances *p.
-inline std::uint32_t decode_varint32(const char** p) {
-  const auto* ptr = reinterpret_cast<const std::uint8_t*>(*p);
-  std::uint32_t result = 0;
-  for (int shift = 0; shift <= 28; shift += 7) {
-    const std::uint32_t byte = *ptr++;
-    result |= (byte & 127) << shift;
-    if ((byte & 128) == 0) break;
-  }
-  *p = reinterpret_cast<const char*>(ptr);
-  return result;
-}
-
-/// Bytes needed to varint32-encode v.
-inline std::size_t varint32_length(std::uint32_t v) {
-  std::size_t len = 1;
-  while (v >= 128) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-/// Key view of an encoded entry.
-inline Slice entry_key(const char* entry) {
-  const char* p = entry;
-  const std::uint32_t klen = decode_varint32(&p);
-  return Slice(p, klen);
-}
-
-/// Value view of an encoded entry.
-inline Slice entry_value(const char* entry) {
-  const char* p = entry;
-  const std::uint32_t klen = decode_varint32(&p);
-  p += klen;
-  const std::uint32_t vlen = decode_varint32(&p);
-  return Slice(p, vlen);
-}
 
 /// Orders encoded entries by their keys, then by insertion sequence
 /// (embedded after the value) so that later writes of the same key
@@ -119,18 +68,10 @@ class MemTable {
 
   /// Insert key -> value with a sequence number (monotone per DB).
   void add(std::uint64_t seq, const Slice& key, const Slice& value) {
-    const std::size_t klen = key.size();
-    const std::size_t vlen = value.size();
-    const std::size_t bytes = detail::varint32_length(klen) + klen +
-                              detail::varint32_length(vlen) + vlen +
-                              sizeof(std::uint64_t);
+    const std::size_t bytes =
+        detail::entry_length(key, value) + sizeof(std::uint64_t);
     char* buf = arena_.allocate(bytes);
-    char* p = detail::encode_varint32(buf, static_cast<std::uint32_t>(klen));
-    std::memcpy(p, key.data(), klen);
-    p += klen;
-    p = detail::encode_varint32(p, static_cast<std::uint32_t>(vlen));
-    std::memcpy(p, value.data(), vlen);
-    p += vlen;
+    char* p = detail::encode_entry(buf, key, value);
     std::memcpy(p, &seq, sizeof(seq));
     table_.insert(buf);
     // mo: relaxed — the counter is a fast-path hint (and a
@@ -192,29 +133,6 @@ class MemTable {
   /// Approximate heap footprint (flush threshold input).
   std::size_t approximate_memory_usage() const {
     return arena_.memory_usage();
-  }
-
-  /// Snapshot the newest version of every key, sorted ascending —
-  /// the flush input for ImmutableTable. REQUIRES: writers quiesced
-  /// (DB holds its mutex across flush, as LevelDB does for the
-  /// memtable switch).
-  std::vector<std::pair<std::string, std::string>> snapshot_sorted() const {
-    std::vector<std::pair<std::string, std::string>> out;
-    Index::Iterator it(&table_);
-    it.seek_to_first();
-    std::string last_key;
-    bool first = true;
-    for (; it.valid(); it.next()) {
-      const Slice k = detail::entry_key(it.key());
-      if (first || k.view() != last_key) {
-        out.emplace_back(k.to_string(),
-                         detail::entry_value(it.key()).to_string());
-        last_key.assign(k.data(), k.size());
-        first = false;
-      }
-      // else: older version of the same key (sorted after) — skip.
-    }
-    return out;
   }
 
  private:

@@ -8,7 +8,8 @@
 // where several sources carry the same key the newest source wins
 // (memtable, then tables in version order) — the scan twin of the
 // point-lookup search order. The central DB drains one cursor;
-// ShardedDB runs one per shard under a heap.
+// ShardedDB runs one per shard under a heap. Both compactions drain
+// one over the tables alone into a TableBuilder (merge_tables).
 //
 // Table blocks come through the caller's fetch hook (so they flow
 // through the owning DB's block cache), and only when a row needs
@@ -20,7 +21,6 @@
 // first key >= start.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,27 +50,22 @@ class TableCursor {
     const std::int64_t idx = table.block_for(start);
     if (idx < 0) return;  // start below the table: its first entry
     block_idx_ = static_cast<std::size_t>(idx);
-    if (Slice(table.block_first_key(block_idx_)) == start) return;
+    if (table.block_first_key(block_idx_) == start) return;
     // start falls inside the block: only the block knows where.
     load_block();
-    auto it = std::lower_bound(
-        block_->entries.begin(), block_->entries.end(), start,
-        [](const auto& e, const Slice& k) {
-          return Slice(e.first).compare(k) < 0;
-        });
-    entry_idx_ = static_cast<std::size_t>(it - block_->entries.begin());
+    entry_idx_ = block_->lower_bound(start);
     leave_exhausted_block();
   }
 
   bool valid() const { return block_idx_ < table_->num_blocks(); }
   /// No fetch: an unfetched position is its block's first entry.
   Slice key() const {
-    return block_ != nullptr ? Slice(block_->entries[entry_idx_].first)
-                             : Slice(table_->block_first_key(block_idx_));
+    return block_ != nullptr ? block_->key(entry_idx_)
+                             : table_->block_first_key(block_idx_);
   }
   Slice value() {
     load_block();
-    return Slice(block_->entries[entry_idx_].second);
+    return block_->value(entry_idx_);
   }
 
   void next() {
@@ -86,7 +81,7 @@ class TableCursor {
   /// Past the block's last entry: park on the next block's first
   /// entry, unfetched (blocks are never empty).
   void leave_exhausted_block() {
-    if (entry_idx_ < block_->entries.size()) return;
+    if (entry_idx_ < block_->size()) return;
     ++block_idx_;
     entry_idx_ = 0;
     block_.reset();
@@ -175,5 +170,24 @@ class MergeCursor {
   std::vector<detail::TableCursor<Fetch>> tables_;
   std::size_t cur_ = kDone;
 };
+
+/// Full merge compaction: every table of `version` folded newest-wins
+/// into one table `id`, keeping the rows whose value `keep` accepts.
+template <typename Keep>
+std::shared_ptr<ImmutableTable> merge_tables(const TableVersion& version,
+                                             std::size_t block_fanout,
+                                             std::uint64_t id, Keep keep) {
+  const MemTable none;
+  auto fetch = [](const ImmutableTable& t, std::size_t b) {
+    return t.read_block(b);  // uncached: each block is read once
+  };
+  TableBuilder builder(block_fanout);
+  for (MergeCursor cur(none, version, Slice(), fetch); cur.valid();
+       cur.next()) {
+    const Slice value = cur.value();
+    if (keep(value)) builder.add(cur.key(), value);
+  }
+  return builder.finish(id);
+}
 
 }  // namespace hemlock::minikv

@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -427,11 +426,13 @@ class ShardedDB {
     // mo: relaxed — mu is held; this function is the only writer.
     MemTable* old_mem = s.mem.load(std::memory_order_relaxed);
     if (old_mem->entries() == 0) return;
-    auto sorted = old_mem->snapshot_sorted();
-    auto table = std::make_shared<ImmutableTable>(
+    TableBuilder builder(options_.block_fanout);
+    for (MemTable::Cursor c(*old_mem, Slice()); c.valid(); c.next()) {
+      builder.add(c.key(), c.value());
+    }
+    auto table = builder.finish(
         // mo: relaxed — unique-ID counter; uniqueness, not ordering.
-        next_table_id_.fetch_add(1, std::memory_order_relaxed),
-        std::move(sorted), options_.block_fanout);
+        next_table_id_.fetch_add(1, std::memory_order_relaxed));
     // mo: relaxed — mu is held; the published pointer is stable.
     TableVersion* old_version = s.version.load(std::memory_order_relaxed);
     auto* next = new TableVersion();
@@ -459,29 +460,14 @@ class ShardedDB {
   /// fresh memtable that accompanies this version is empty, so no
   /// older version of an elided key survives anywhere.
   void compact_tables(TableVersion* v) {
-    std::vector<std::pair<std::string, std::string>> merged;
-    std::unordered_set<std::string> seen;
-    for (const auto& table : v->tables) {  // newest first: first wins
-      for (std::size_t b = 0; b < table->num_blocks(); ++b) {
-        const auto block = table->read_block(b);
-        for (const auto& [k, val] : block->entries) {
-          if (seen.insert(k).second &&
-              (val.empty() || val[0] != kTombstoneTag)) {
-            merged.emplace_back(k, val);
-          }
-        }
-      }
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) {
-                return Slice(a.first).compare(Slice(b.first)) < 0;
-              });
-    auto compacted = std::make_shared<ImmutableTable>(
-        // mo: relaxed — unique-ID counter; uniqueness, not ordering.
-        next_table_id_.fetch_add(1, std::memory_order_relaxed),
-        std::move(merged), options_.block_fanout);
-    v->tables.clear();
-    v->tables.push_back(std::move(compacted));
+    v->tables.assign(
+        1, merge_tables(
+               *v, options_.block_fanout,
+               // mo: relaxed — unique-ID counter; uniqueness, not ordering.
+               next_table_id_.fetch_add(1, std::memory_order_relaxed),
+               [](const Slice& val) {
+                 return val.empty() || val[0] != kTombstoneTag;
+               }));
     compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
   }
 

@@ -33,6 +33,7 @@ class SkipList {
         rnd_(0xdeadbeef) {
     for (int i = 0; i < kMaxHeight; ++i) {
       head_->set_next(i, nullptr);
+      tail_[i] = head_;
     }
   }
 
@@ -42,10 +43,16 @@ class SkipList {
   /// Insert key. REQUIRES: external serialization of writers; key not
   /// already present (MiniKV encodes a sequence number per entry so
   /// duplicates cannot collide, matching LevelDB).
+  /// Appends (key above every key present, as in a sequential fill)
+  /// skip the search: the predecessors are the per-level tails.
   void insert(const Key& key) {
     Node* prev[kMaxHeight];
-    [[maybe_unused]] Node* x = find_greater_or_equal(key, prev);
-    assert(x == nullptr || !equal(key, x->key));  // x unused w/ NDEBUG
+    if (tail_[0] == head_ || compare_(tail_[0]->key, key) < 0) {
+      for (int i = 0; i < kMaxHeight; ++i) prev[i] = tail_[i];
+    } else {
+      [[maybe_unused]] Node* x = find_greater_or_equal(key, prev);
+      assert(x == nullptr || !equal(key, x->key));  // x unused w/ NDEBUG
+    }
 
     const int height = random_height();
     if (height > max_height()) {
@@ -59,8 +66,10 @@ class SkipList {
     for (int i = 0; i < height; ++i) {
       // Link bottom-up. The store into n's next can be relaxed (n is
       // not yet published); the store into prev's next releases n.
-      n->set_next_relaxed(i, prev[i]->next_relaxed(i));
+      Node* const succ = prev[i]->next_relaxed(i);
+      n->set_next_relaxed(i, succ);
       prev[i]->set_next(i, n);
+      if (succ == nullptr) tail_[i] = n;
     }
   }
 
@@ -171,6 +180,7 @@ class SkipList {
   Comparator const compare_;
   Arena* const arena_;
   Node* const head_;
+  Node* tail_[kMaxHeight];  ///< last node per level; writer-only
   std::atomic<int> max_height_;
   Xoshiro256 rnd_;
 };

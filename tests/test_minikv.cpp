@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -117,6 +118,30 @@ TEST(SkipListTest, IterationIsSorted) {
   EXPECT_FALSE(it.valid());
 }
 
+TEST(SkipListTest, AppendsInterleaveWithOrderedInserts) {
+  // Ascending runs take the append path; the smaller and interleaved
+  // keys between them take the search path and must leave the
+  // per-level tails right for the next run.
+  Arena arena;
+  SkipList<std::uint64_t, IntCmp> list(IntCmp{}, &arena);
+  std::set<std::uint64_t> model;
+  auto insert = [&](std::uint64_t v) {
+    if (model.insert(v).second) list.insert(v);
+  };
+  for (std::uint64_t v = 1000; v < 3000; v += 2) insert(v);  // ascending
+  for (std::uint64_t v = 1; v < 1000; v += 3) insert(v);     // below
+  for (std::uint64_t v = 2999; v > 1000; v -= 10) insert(v); // interleaved
+  insert(2999 + 2);                                          // new tail
+  for (std::uint64_t v = 5000; v < 8000; ++v) insert(v);     // ascending
+  SkipList<std::uint64_t, IntCmp>::Iterator it(&list);
+  std::vector<std::uint64_t> got;
+  for (it.seek_to_first(); it.valid(); it.next()) got.push_back(it.key());
+  EXPECT_EQ(got, std::vector<std::uint64_t>(model.begin(), model.end()));
+  for (std::uint64_t v = 1; v <= 8001; ++v) {
+    ASSERT_EQ(list.contains(v), model.count(v) == 1) << v;
+  }
+}
+
 TEST(SkipListTest, ConcurrentReadersWithOneWriter) {
   Arena arena;
   SkipList<std::uint64_t, IntCmp> list(IntCmp{}, &arena);
@@ -176,22 +201,35 @@ TEST(MemTableTest, DistinctKeysAndEmptyValues) {
   EXPECT_FALSE(mem.get("aa", &v));
 }
 
-TEST(MemTableTest, SnapshotSortedDeduplicates) {
+TEST(MemTableTest, CursorYieldsNewestValuePerKeyAscending) {
   MemTable mem;
   mem.add(1, "b", "old-b");
   mem.add(2, "a", "va");
   mem.add(3, "b", "new-b");
   mem.add(4, "c", "vc");
-  const auto snap = mem.snapshot_sorted();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0], (std::pair<std::string, std::string>{"a", "va"}));
-  EXPECT_EQ(snap[1], (std::pair<std::string, std::string>{"b", "new-b"}));
-  EXPECT_EQ(snap[2], (std::pair<std::string, std::string>{"c", "vc"}));
+  std::vector<std::pair<std::string, std::string>> got;
+  for (MemTable::Cursor c(mem, Slice()); c.valid(); c.next()) {
+    got.emplace_back(c.key().to_string(), c.value().to_string());
+  }
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], (std::pair<std::string, std::string>{"a", "va"}));
+  EXPECT_EQ(got[1], (std::pair<std::string, std::string>{"b", "new-b"}));
+  EXPECT_EQ(got[2], (std::pair<std::string, std::string>{"c", "vc"}));
 }
 
 // --------------------------------------------------- ImmutableTable --
-std::vector<std::pair<std::string, std::string>> make_sorted(int n) {
-  std::vector<std::pair<std::string, std::string>> v;
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+std::shared_ptr<ImmutableTable> build_table(std::uint64_t id,
+                                            const Entries& sorted,
+                                            std::size_t block_fanout) {
+  TableBuilder builder(block_fanout);
+  for (const auto& [k, v] : sorted) builder.add(k, v);
+  return builder.finish(id);
+}
+
+Entries make_sorted(int n) {
+  Entries v;
   for (int i = 0; i < n; ++i) {
     v.emplace_back(bench_key(static_cast<std::uint64_t>(i) * 2),
                    "val" + std::to_string(i * 2));
@@ -199,41 +237,137 @@ std::vector<std::pair<std::string, std::string>> make_sorted(int n) {
   return v;
 }
 
+/// Point lookup through the index and one fetched block.
+bool table_lookup(const ImmutableTable& t, const Slice& key,
+                  std::string* value) {
+  const std::int64_t b = t.block_for(key);
+  return b >= 0 && t.read_block(static_cast<std::size_t>(b))->get(key, value);
+}
+
 TEST(ImmutableTableTest, BlockLookupFindsEveryKey) {
-  ImmutableTable t(1, make_sorted(100), /*block_fanout=*/7);
-  EXPECT_EQ(t.num_entries(), 100u);
-  EXPECT_EQ(t.num_blocks(), (100 + 6) / 7);
+  const auto t = build_table(1, make_sorted(100), /*block_fanout=*/7);
+  EXPECT_EQ(t->num_entries(), 100u);
+  EXPECT_EQ(t->num_blocks(), (100 + 6) / 7);
   std::string v;
   for (int i = 0; i < 100; ++i) {
     const auto key = bench_key(static_cast<std::uint64_t>(i) * 2);
-    const std::int64_t b = t.block_for(key);
+    const std::int64_t b = t->block_for(key);
     ASSERT_GE(b, 0);
-    auto block = t.read_block(static_cast<std::size_t>(b));
+    auto block = t->read_block(static_cast<std::size_t>(b));
     ASSERT_TRUE(block->get(key, &v)) << key;
     EXPECT_EQ(v, "val" + std::to_string(i * 2));
   }
 }
 
 TEST(ImmutableTableTest, MissesFallInTheRightPlaces) {
-  ImmutableTable t(2, make_sorted(50), 8);
+  const auto t = build_table(2, make_sorted(50), 8);
   std::string v;
   // Key below the smallest: no candidate block.
-  EXPECT_EQ(t.block_for("0000000000000000"), 0);  // equals first key -> block 0
-  ImmutableTable t2(3, {{"b", "1"}, {"d", "2"}}, 8);
-  EXPECT_EQ(t2.block_for("a"), -1);
-  const std::int64_t b = t2.block_for("c");
+  EXPECT_EQ(t->block_for("0000000000000000"), 0);  // equals first key -> block 0
+  const auto t2 = build_table(3, {{"b", "1"}, {"d", "2"}}, 8);
+  EXPECT_EQ(t2->block_for("a"), -1);
+  const std::int64_t b = t2->block_for("c");
   ASSERT_GE(b, 0);
-  EXPECT_FALSE(t2.read_block(static_cast<std::size_t>(b))->get("c", &v));
-  EXPECT_TRUE(t2.read_block(static_cast<std::size_t>(b))->get("b", &v));
+  EXPECT_FALSE(t2->read_block(static_cast<std::size_t>(b))->get("c", &v));
+  EXPECT_TRUE(t2->read_block(static_cast<std::size_t>(b))->get("b", &v));
+}
+
+/// Sorted, distinct binary keys holding '\0' and 0xFF bytes. Raising
+/// a key's trailing '\0' to 0x01 gives a key strictly between it and
+/// the next one. Every third value is empty; the rest hold a '\0'.
+Entries make_binary(int n) {
+  Entries v;
+  for (int i = 0; i < n; ++i) {
+    const auto x = static_cast<std::uint32_t>(2 * i + 2);
+    std::string key("\x01\0", 2);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      key.push_back(static_cast<char>((x >> shift) & 0xFF));
+    }
+    key.push_back('\xFF');
+    key.push_back('\0');
+    std::string value;
+    if (i % 3 != 0) value = std::string("v\0", 2) + std::to_string(i);
+    v.emplace_back(std::move(key), std::move(value));
+  }
+  return v;
+}
+
+TEST(ImmutableTableTest, RoundTripsAgainstItsInput) {
+  for (const std::size_t fanout : {1u, 7u, 16u}) {
+    for (const int n : {0, 1, 300}) {
+      SCOPED_TRACE("fanout " + std::to_string(fanout) + ", entries " +
+                   std::to_string(n));
+      const Entries input = make_binary(n);
+      const auto t = build_table(9, input, fanout);
+      EXPECT_EQ(t->num_entries(), input.size());
+      EXPECT_EQ(t->num_blocks(), (input.size() + fanout - 1) / fanout);
+      std::string v;
+      for (std::size_t i = 0; i < input.size(); ++i) {
+        ASSERT_TRUE(table_lookup(*t, input[i].first, &v)) << i;
+        EXPECT_EQ(v, input[i].second) << i;
+        // Between this key and the next (or above the last one).
+        std::string between = input[i].first;
+        between.back() = '\x01';
+        EXPECT_FALSE(table_lookup(*t, between, &v)) << i;
+        if (i % fanout == 0) {
+          EXPECT_EQ(t->block_first_key(i / fanout), Slice(input[i].first));
+        }
+      }
+      for (std::size_t b = 0; b < t->num_blocks(); ++b) {
+        const auto block = t->read_block(b);
+        const std::size_t first = b * fanout;
+        ASSERT_EQ(block->size(), std::min(fanout, input.size() - first));
+        for (std::size_t i = 0; i < block->size(); ++i) {
+          EXPECT_EQ(block->key(i), Slice(input[first + i].first));
+          EXPECT_EQ(block->value(i), Slice(input[first + i].second));
+        }
+      }
+      for (const std::string& absent :
+           {std::string(), std::string("\x01\0", 2), std::string(1, '\0'),
+            std::string("\xFF\xFF")}) {
+        EXPECT_FALSE(table_lookup(*t, absent, &v));
+      }
+      if (n == 0) {
+        EXPECT_TRUE(t->smallest().empty());
+        EXPECT_TRUE(t->largest().empty());
+      } else {
+        EXPECT_EQ(t->smallest(), Slice(input.front().first));
+        EXPECT_EQ(t->largest(), Slice(input.back().first));
+      }
+    }
+  }
+}
+
+TEST(ImmutableTableTest, SmallestAndLargestSurviveShortKeys) {
+  // One tiny entry: every buffer fits a string's inline storage,
+  // which moves with the string's bytes rather than its heap pointer.
+  const auto t = build_table(4, {{"k", "v"}}, 16);
+  EXPECT_EQ(t->smallest(), Slice("k"));
+  EXPECT_EQ(t->largest(), Slice("k"));
+  EXPECT_EQ(t->block_first_key(0), Slice("k"));
+}
+
+TEST(ImmutableTableTest, BlockChargeIsItsBytes) {
+  const Entries input = make_sorted(64);
+  const auto t = build_table(5, input, 16);
+  std::size_t kv_bytes = 0;
+  for (std::size_t i = 0; i < 16; ++i) {
+    kv_bytes += input[i].first.size() + input[i].second.size();
+  }
+  // Per entry: two one-byte length prefixes and a u32 offset.
+  constexpr std::size_t kPerEntry = 6;
+  const std::size_t charge = t->read_block(0)->charge();
+  EXPECT_GE(charge, kv_bytes + kPerEntry * 16);
+  EXPECT_LE(charge, kv_bytes + kPerEntry * 16 + sizeof(Block) +
+                        sizeof(std::uint32_t));
 }
 
 // ------------------------------------------------------------ Cache --
 TEST(CacheTest, HitMissPromoteEvict) {
   ShardedLruCache<Block> cache(16 * 1024);
   auto mkblock = [](int tag) {
-    auto b = std::make_shared<Block>();
-    b->entries.emplace_back("k" + std::to_string(tag), "v");
-    return b;
+    return build_table(1, {{"k" + std::to_string(tag), "v"}}, 1)
+        ->read_block(0);
   };
   const BlockKey k1{1, 0}, k2{1, 1};
   EXPECT_EQ(cache.lookup(k1), nullptr);
