@@ -1,28 +1,30 @@
-// db.hpp — the MiniKV database: LevelDB's locking architecture with a
-// pluggable central mutex.
+// db.hpp — the central MiniKV front end: LevelDB's locking
+// architecture with a pluggable central mutex.
 //
 // This is the Figure-8 substrate. The paper: "LevelDB uses
 // coarse-grained locking, protecting the database with a single
 // central mutex: DBImpl::Mutex. Profiling indicates contention on
-// that lock via leveldb::DBImpl::Get()." DB<Lock> reproduces that
-// architecture faithfully:
+// that lock via leveldb::DBImpl::Get()." DB<Lock> owns exactly that
+// discipline and nothing else:
 //
 //  * ONE central mutex (the template parameter — Hemlock, MCS, CLH,
 //    Ticket, ... are swapped in exactly where the paper's LD_PRELOAD
 //    interposition swapped pthread_mutex implementations);
-//  * Get() takes the central mutex *briefly* to snapshot the current
-//    memtable + table-version (LevelDB: MakeRoomForWrite/Version
-//    refs), then searches OUTSIDE the lock — so the benchmark's
-//    critical sections are short and arrival-rate-bound, as in the
-//    paper's profile;
-//  * Put() serializes whole writes under the mutex (LevelDB's writer
-//    queue collapses to this under db_bench's single-writer fill);
-//  * memtable flushes happen inline under the mutex when the
-//    memtable exceeds its budget (no background threads — determinism
-//    for tests; the flush is off the readrandom hot path anyway).
+//  * get() and scan() take the central mutex *briefly* to copy the
+//    shared_ptrs to the current memtable and table version (LevelDB's
+//    Version refs), shared mode when the lock has one, then search
+//    OUTSIDE the lock — so the benchmark's critical sections are
+//    short and arrival-rate-bound, as in the paper's profile;
+//  * put() serializes whole writes under the mutex (LevelDB's writer
+//    queue collapses to this under db_bench's single-writer fill),
+//    and flushes inline when the memtable is full: no background
+//    threads, so tests stay deterministic.
+//
+// Storage — the flush, compaction, table search and block cache — is
+// the TableSet core (table_set.hpp) that ShardedDB drives too. There
+// are no deletes at this layer, so compaction keeps every row.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,57 +32,30 @@
 #include <vector>
 
 #include "locks/lockable.hpp"
-#include "minikv/cache.hpp"
 #include "minikv/memtable.hpp"
-#include "minikv/scan.hpp"
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
 #include "minikv/table.hpp"
+#include "minikv/table_set.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
 
 namespace hemlock::minikv {
 
-/// DB tuning knobs (a small subset of leveldb::Options).
-struct DbOptions {
-  /// Memtable budget before an inline flush to an immutable table.
-  std::size_t write_buffer_bytes = 1 << 20;  // 1 MiB
-  /// Block cache capacity. Sized to hold db_bench-scale working sets:
-  /// LevelDB's reads are effectively memory-speed in the paper's
-  /// Figure-8 runs (the OS page cache holds the whole database), and
-  /// the benchmark's subject is the central mutex, not disk I/O.
-  std::size_t block_cache_bytes = 256 << 20;  // 256 MiB
-  /// Entries per table block.
-  std::size_t block_fanout = ImmutableTable::kDefaultBlockFanout;
-  /// Merge all immutable tables into one when their count exceeds
-  /// this (MiniKV's stand-in for LevelDB's compaction, keeping the
-  /// read path's table fan-out bounded).
-  std::size_t compaction_trigger = 8;
-};
-
-// (TableVersion — the immutable table set snapshotted under the
-// central mutex — now lives in minikv/table.hpp, shared with the
-// sharded serving layer and the merge cursor.)
+/// DB tuning knobs: the storage options, nothing of its own.
+using DbOptions = StorageOptions;
 
 /// MiniKV database with central mutex of type CentralLock.
 template <BasicLockable CentralLock>
 class DB {
  public:
-  explicit DB(DbOptions options = DbOptions{})
-      : options_(options),
-        cache_(options.block_cache_bytes),
-        mem_(std::make_shared<MemTable>()),
-        version_(std::make_shared<TableVersion>()) {}
-
-  /// As above, forwarding `lock_args` to the central mutex's
-  /// constructor — how a type-erased CentralLock (AnyLock) names its
-  /// algorithm at run time: DB<AnyLock> db(DbOptions{}, "mcs");
+  /// `lock_args` go to the central mutex's constructor — how a
+  /// type-erased CentralLock (AnyLock) names its algorithm at run
+  /// time: DB<AnyLock> db(DbOptions{}, "mcs");
   template <typename... LockArgs>
-    requires(sizeof...(LockArgs) > 0)
-  explicit DB(DbOptions options, LockArgs&&... lock_args)
-      : options_(options),
-        mu_(std::forward<LockArgs>(lock_args)...),
-        cache_(options.block_cache_bytes),
+  explicit DB(DbOptions options = DbOptions{}, LockArgs&&... lock_args)
+      : mu_(std::forward<LockArgs>(lock_args)...),
+        tables_(options),
         mem_(std::make_shared<MemTable>()),
         version_(std::make_shared<TableVersion>()) {}
 
@@ -91,69 +66,27 @@ class DB {
   Status put(const Slice& key, const Slice& value) {
     LockGuard<CentralLock> g(mu_.value);
     mem_->add(next_seq_++, key, value);
-    if (mem_->approximate_memory_usage() >= options_.write_buffer_bytes) {
-      flush_memtable_locked();
-    }
+    if (tables_.full(*mem_)) flush_locked();
     return Status::ok();
   }
 
   /// Point lookup. The central-mutex critical section is only the
-  /// snapshot of (memtable, version); the search runs unlocked. When
-  /// the central lock has a shared mode (an rwlock, or an AnyLock
-  /// naming one), the snapshot is taken as a *reader* — concurrent
-  /// gets no longer serialize on the paper's Figure-8 bottleneck; the
-  /// two shared_ptr copies are safe under shared holds because every
-  /// mutator of mem_/version_ runs under the exclusive mode.
+  /// snapshot; the search runs unlocked.
   Status get(const Slice& key, std::string* value) {
-    std::shared_ptr<MemTable> mem;
-    std::shared_ptr<TableVersion> version;
-    if constexpr (SharedLockable<CentralLock>) {
-      SharedLockGuard<CentralLock> g(mu_.value);  // DBImpl::Mutex, shared
-      mem = mem_;
-      version = version_;
-    } else {
-      LockGuard<CentralLock> g(mu_.value);  // DBImpl::Mutex
-      mem = mem_;
-      version = version_;
-    }
-    if (mem->get(key, value)) return Status::ok();
-    for (const auto& table : version->tables) {  // newest first
-      // Key-range filter, as LevelDB's Version::Get does per table
-      // file — fillseq produces disjoint table ranges, so this keeps
-      // the read path at ~one candidate table per lookup.
-      if (key.compare(table->smallest()) < 0 ||
-          key.compare(table->largest()) > 0) {
-        continue;
-      }
-      if (table_get(*table, key, value)) return Status::ok();
-    }
-    return Status::not_found();
+    const Snapshot s = snapshot();
+    return tables_.get(*s.mem, *s.version, key, value) ? Status::ok()
+                                                       : Status::not_found();
   }
 
   /// Range scan: up to `limit` entries with key >= `start`, ascending,
-  /// newest version per key. Same locking shape as get(): the central
-  /// mutex covers only the (memtable, version) snapshot — shared mode
-  /// when the lock has one — and the k-way merge runs unlocked over
-  /// the immutable snapshot.
+  /// newest version per key. Same locking shape as get(): the k-way
+  /// merge runs unlocked over the snapshot.
   std::size_t scan(const Slice& start, std::size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out) {
     out->clear();
     if (limit == 0) return 0;
-    std::shared_ptr<MemTable> mem;
-    std::shared_ptr<TableVersion> version;
-    if constexpr (SharedLockable<CentralLock>) {
-      SharedLockGuard<CentralLock> g(mu_.value);
-      mem = mem_;
-      version = version_;
-    } else {
-      LockGuard<CentralLock> g(mu_.value);
-      mem = mem_;
-      version = version_;
-    }
-    auto fetch = [this](const ImmutableTable& t, std::size_t b) {
-      return read_block_cached(t, b);
-    };
-    for (MergeCursor cur(*mem, *version, start, fetch);
+    const Snapshot s = snapshot();
+    for (auto cur = tables_.cursor(*s.mem, *s.version, start);
          cur.valid() && out->size() < limit; cur.next()) {
       out->emplace_back(cur.key().to_string(), cur.value().to_string());
     }
@@ -163,7 +96,7 @@ class DB {
   /// Force the current memtable into an immutable table.
   void flush() {
     LockGuard<CentralLock> g(mu_.value);
-    flush_memtable_locked();
+    flush_locked();
   }
 
   /// Number of immutable tables (diagnostics/tests).
@@ -179,83 +112,50 @@ class DB {
   }
 
   /// Block cache statistics (hit ratio sanity in tests/benches).
-  std::uint64_t cache_hits() const { return cache_.hits(); }
-  std::uint64_t cache_misses() const { return cache_.misses(); }
-  /// Number of merge compactions performed. Takes the central mutex:
-  /// compactions_ is mu_-guarded, and a torn unlocked read of a
-  /// 64-bit counter is exactly the discipline slip the analysis exists
-  /// to catch.
-  std::uint64_t compactions() {
-    LockGuard<CentralLock> g(mu_.value);
-    return compactions_;
-  }
+  std::uint64_t cache_hits() const { return tables_.cache_hits(); }
+  std::uint64_t cache_misses() const { return tables_.cache_misses(); }
+  /// Number of merge compactions performed.
+  std::uint64_t compactions() const { return tables_.compactions(); }
 
  private:
-  /// REQUIRES: central mutex held.
-  void flush_memtable_locked() HEMLOCK_REQUIRES(mu_.value) {
-    if (mem_->entries() == 0) return;
-    TableBuilder builder(options_.block_fanout);
-    for (MemTable::Cursor c(*mem_, Slice()); c.valid(); c.next()) {
-      builder.add(c.key(), c.value());
+  struct Snapshot {
+    std::shared_ptr<MemTable> mem;
+    std::shared_ptr<TableVersion> version;
+  };
+
+  /// Copy the (memtable, version) pair under the central mutex — as a
+  /// *reader* when the lock has a shared mode (an rwlock, or an
+  /// AnyLock naming one), so concurrent gets no longer serialize on
+  /// the Figure-8 bottleneck. Safe: every mutator of mem_/version_
+  /// holds the exclusive mode.
+  Snapshot snapshot() {
+    if constexpr (SharedLockable<CentralLock>) {
+      SharedLockGuard<CentralLock> g(mu_.value);  // DBImpl::Mutex, shared
+      return {mem_, version_};
+    } else {
+      LockGuard<CentralLock> g(mu_.value);  // DBImpl::Mutex
+      return {mem_, version_};
     }
-    auto table = builder.finish(next_table_id_++);
-    // Copy-on-write version bump: concurrent readers keep their
-    // snapshot; new readers see the new table first.
-    auto next = std::make_shared<TableVersion>();
-    next->tables.reserve(version_->tables.size() + 1);
-    next->tables.push_back(std::move(table));
-    for (const auto& t : version_->tables) next->tables.push_back(t);
-    if (next->tables.size() > options_.compaction_trigger) {
-      compact_locked(next.get());
-    }
+  }
+
+  /// Swap in the flushed version and a fresh memtable. Readers keep
+  /// their snapshots; new readers see the new table first.
+  void flush_locked() HEMLOCK_REQUIRES(mu_.value) {
+    auto next = tables_.flushed(*mem_, *version_,
+                                [](const Slice&) { return true; });
+    if (next == nullptr) return;
     version_ = std::move(next);
     mem_ = std::make_shared<MemTable>();
   }
 
-  /// Full merge compaction: fold every table (newest wins per key)
-  /// into a single replacement table. REQUIRES: central mutex held;
-  /// `v` not yet published (readers keep their old snapshots).
-  void compact_locked(TableVersion* v) HEMLOCK_REQUIRES(mu_.value) {
-    v->tables.assign(1, merge_tables(*v, options_.block_fanout,
-                                     next_table_id_++,
-                                     [](const Slice&) { return true; }));
-    ++compactions_;
-  }
-
-  /// Materialize one table block through the block cache (unlocked;
-  /// the cache's own lookup path is a shared acquisition, so this
-  /// never re-serializes concurrent shared-mode readers on a hit).
-  std::shared_ptr<Block> read_block_cached(const ImmutableTable& table,
-                                           std::size_t idx) {
-    const BlockKey bkey{table.id(), static_cast<std::uint32_t>(idx)};
-    std::shared_ptr<Block> block = cache_.lookup(bkey);
-    if (block == nullptr) {
-      block = table.read_block(idx);
-      cache_.insert(bkey, block, block->charge());
-    }
-    return block;
-  }
-
-  /// Search one table through the block cache (unlocked).
-  bool table_get(const ImmutableTable& table, const Slice& key,
-                 std::string* value) {
-    const std::int64_t idx = table.block_for(key);
-    if (idx < 0) return false;
-    return read_block_cached(table, static_cast<std::size_t>(idx))
-        ->get(key, value);
-  }
-
-  DbOptions options_;
   CacheAligned<CentralLock> mu_;  ///< THE central mutex (DBImpl::Mutex)
-  ShardedLruCache<Block> cache_;
+  TableSet tables_;
 
-  // All fields below are protected by mu_ (readers snapshot the two
-  // shared_ptrs under mu_ and then operate on immutable state).
+  // Protected by mu_: readers copy the two shared_ptrs under mu_ and
+  // then search immutable state.
   std::shared_ptr<MemTable> mem_ HEMLOCK_GUARDED_BY(mu_.value);
   std::shared_ptr<TableVersion> version_ HEMLOCK_GUARDED_BY(mu_.value);
   std::uint64_t next_seq_ HEMLOCK_GUARDED_BY(mu_.value) = 1;
-  std::uint64_t next_table_id_ HEMLOCK_GUARDED_BY(mu_.value) = 1;
-  std::uint64_t compactions_ HEMLOCK_GUARDED_BY(mu_.value) = 0;
 };
 
 }  // namespace hemlock::minikv

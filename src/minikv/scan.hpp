@@ -8,8 +8,8 @@
 // where several sources carry the same key the newest source wins
 // (memtable, then tables in version order) — the scan twin of the
 // point-lookup search order. The central DB drains one cursor;
-// ShardedDB runs one per shard under a heap. Both compactions drain
-// one over the tables alone into a TableBuilder (merge_tables).
+// ShardedDB runs one per shard under a heap. TableSet's compaction
+// drains one over the tables alone into a TableBuilder (merge_tables).
 //
 // Table blocks come through the caller's fetch hook (so they flow
 // through the owning DB's block cache), and only when a row needs

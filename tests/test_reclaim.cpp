@@ -428,6 +428,53 @@ TEST(CentralDb, ScanMatchesReferenceModel) {
   EXPECT_GT(db.compactions(), 0u);
 }
 
+// The central DB has no deletes: its compaction keeps every row,
+// including values that happen to look like ShardedDB's tombstone tag.
+TEST(CentralDb, TombstoneLookingValuesSurviveCompaction) {
+  minikv::DbOptions o;
+  o.write_buffer_bytes = 4 << 10;
+  o.compaction_trigger = 3;
+  minikv::DB<AnyLock> db(o);
+  constexpr std::uint64_t kKeys = 2000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db.put(bench_key(k), "T" + std::to_string(k)).is_ok());
+  }
+  db.flush();
+  EXPECT_GT(db.compactions(), 0u);
+  std::string v;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db.get(bench_key(k), &v).is_ok()) << k;
+    EXPECT_EQ(v, "T" + std::to_string(k));
+  }
+}
+
+// ShardedDB's compaction drops a deleted key's row outright. With one
+// row per block, a full scan fetches one block per row of the single
+// compacted table, so a kept tombstone would cost one fetch more than
+// the rows the scan returns.
+TEST_P(ShardedDbTiers, CompactionLeavesNoRowForADeletedKey) {
+  EpochDomain domain;
+  ShardedDbOptions o;
+  o.num_shards = 1;
+  o.block_fanout = 1;
+  o.compaction_trigger = 1;
+  o.epoch_reads = GetParam();
+  ShardedDB<AnyLock> db(o, &domain);
+  constexpr std::uint64_t kKeys = 10;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db.put(bench_key(k), "v").is_ok());
+  }
+  db.flush();
+  ASSERT_TRUE(db.del(bench_key(3)).is_ok());
+  db.flush();  // a second table: past the trigger, both fold into one
+  ASSERT_EQ(db.num_tables(), 1u);
+  ASSERT_EQ(db.stats().compactions, 1u);
+  Rows out;
+  const std::uint64_t before = db.cache_hits() + db.cache_misses();
+  ASSERT_EQ(db.scan(Slice(), kKeys, &out), kKeys - 1);
+  EXPECT_EQ(db.cache_hits() + db.cache_misses() - before, kKeys - 1);
+}
+
 // A bounded scan fetches the blocks whose rows it returns, plus at
 // most one block per shard on each side (positioning inside the first
 // block, a partial block at the end) — not a `limit`-row prefix of
@@ -573,6 +620,26 @@ TEST(ShardedDb, NamedShardLocks) {
   ASSERT_TRUE(db.get("a", &v).is_ok());
   EXPECT_EQ(v, "1");
   EXPECT_EQ(db.num_shards(), 2u);
+}
+
+// Every documented constructor spelling builds working shards. A
+// literal nullptr domain must select the domain overload, not become
+// the shard lock's first constructor argument.
+TEST(ShardedDb, EveryConstructorSpellingServesPutGet) {
+  ShardedDbOptions o;
+  o.num_shards = 2;
+  EpochDomain domain;
+  ShardedDB<AnyLock> with_null(o, nullptr, "mcs");
+  ShardedDB<AnyLock> with_domain(o, &domain, "mcs");
+  ShardedDB<AnyLock> named(o, "mcs");
+  for (ShardedDB<AnyLock>* db : {&with_null, &with_domain, &named}) {
+    ASSERT_TRUE(db->put("a", "1").is_ok());
+    std::string v;
+    ASSERT_TRUE(db->get("a", &v).is_ok());
+    EXPECT_EQ(v, "1");
+  }
+  EXPECT_EQ(&with_null.domain(), &EpochDomain::global());
+  EXPECT_EQ(&with_domain.domain(), &domain);
 }
 
 // The traffic harness's backends agree on semantics where they
