@@ -68,10 +68,27 @@ class MemTable {
 
   /// Insert key -> value with a sequence number (monotone per DB).
   void add(std::uint64_t seq, const Slice& key, const Slice& value) {
-    const std::size_t bytes =
-        detail::entry_length(key, value) + sizeof(std::uint64_t);
+    add(seq, key, Slice(), value);
+  }
+
+  /// Insert key -> prefix + value: the two parts are joined in the
+  /// arena entry, so a front end's value tag (ShardedDB) costs no
+  /// concatenated temporary.
+  void add(std::uint64_t seq, const Slice& key, const Slice& prefix,
+           const Slice& value) {
+    const auto klen = static_cast<std::uint32_t>(key.size());
+    const auto vlen = static_cast<std::uint32_t>(prefix.size() + value.size());
+    const std::size_t bytes = detail::varint32_length(klen) + klen +
+                              detail::varint32_length(vlen) + vlen +
+                              sizeof(std::uint64_t);
     char* buf = arena_.allocate(bytes);
-    char* p = detail::encode_entry(buf, key, value);
+    char* p = detail::encode_varint32(buf, klen);
+    std::memcpy(p, key.data(), klen);
+    p = detail::encode_varint32(p + klen, vlen);
+    std::memcpy(p, prefix.data(), prefix.size());
+    p += prefix.size();
+    std::memcpy(p, value.data(), value.size());
+    p += value.size();
     std::memcpy(p, &seq, sizeof(seq));
     table_.insert(buf);
     // mo: relaxed — the counter is a fast-path hint (and a
@@ -80,7 +97,7 @@ class MemTable {
     entries_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Newest value for key, if present.
+  /// Newest value for key, if present; a miss leaves *value untouched.
   bool get(const Slice& key, std::string* value) const {
     // mo: relaxed — emptiness hint; a racing insert is published by
     // the skiplist's release stores, not this counter.
@@ -88,12 +105,12 @@ class MemTable {
       return false;  // common post-flush fast path
     }
     Index::Iterator it(&table_);
-    const std::string probe = seek_probe(key);
-    it.seek(probe.data());
+    it.seek(SeekProbe(key).data());
     if (!it.valid()) return false;
     const Slice found = detail::entry_key(it.key());
     if (found != key) return false;
-    *value = detail::entry_value(it.key()).to_string();
+    const Slice v = detail::entry_value(it.key());
+    value->assign(v.data(), v.size());
     return true;
   }
 
@@ -105,8 +122,7 @@ class MemTable {
   class Cursor {
    public:
     Cursor(const MemTable& mem, const Slice& start) : it_(&mem.table_) {
-      const std::string probe = mem.seek_probe(start);
-      it_.seek(probe.data());
+      it_.seek(SeekProbe(start).data());
     }
 
     bool valid() const { return it_.valid(); }
@@ -138,21 +154,35 @@ class MemTable {
  private:
   /// Encoded entry that sorts as (key, +inf seq) — i.e. immediately
   /// before the newest real entry for `key` under EntryComparator's
-  /// descending-sequence tie-break. Shared by get() and Cursor.
-  std::string seek_probe(const Slice& key) const {
-    const std::size_t klen = key.size();
-    std::string probe;
-    probe.resize(detail::varint32_length(klen) + klen +
-                 detail::varint32_length(0) + sizeof(std::uint64_t));
-    char* p = detail::encode_varint32(probe.data(),
-                                      static_cast<std::uint32_t>(klen));
-    std::memcpy(p, key.data(), klen);
-    p += klen;
-    p = detail::encode_varint32(p, 0);  // empty value
-    const std::uint64_t max_seq = ~0ULL;
-    std::memcpy(p, &max_seq, sizeof(max_seq));
-    return probe;
-  }
+  /// descending-sequence tie-break. Shared by get() and Cursor. A
+  /// short key encodes on the stack; only a longer one allocates.
+  class SeekProbe {
+   public:
+    explicit SeekProbe(const Slice& key) {
+      const auto klen = static_cast<std::uint32_t>(key.size());
+      const std::size_t bytes = detail::varint32_length(klen) + klen +
+                                detail::varint32_length(0) +
+                                sizeof(std::uint64_t);
+      if (bytes > sizeof(inline_)) {
+        heap_ = std::make_unique<char[]>(bytes);
+        data_ = heap_.get();
+      }
+      char* p = detail::encode_varint32(data_, klen);
+      std::memcpy(p, key.data(), klen);
+      p = detail::encode_varint32(p + klen, 0);  // empty value
+      const std::uint64_t max_seq = ~0ULL;
+      std::memcpy(p, &max_seq, sizeof(max_seq));
+    }
+    SeekProbe(const SeekProbe&) = delete;
+    SeekProbe& operator=(const SeekProbe&) = delete;
+
+    const char* data() const { return data_; }
+
+   private:
+    char inline_[64];
+    std::unique_ptr<char[]> heap_;
+    char* data_ = inline_;
+  };
 
   Arena arena_;
   Index table_;

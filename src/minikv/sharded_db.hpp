@@ -133,42 +133,40 @@ class ShardedDB {
 
   /// Insert or overwrite key -> value.
   Status put(const Slice& key, const Slice& value) {
-    std::string tagged;
-    tagged.reserve(value.size() + 1);
-    tagged.push_back(kValueTag);
-    tagged.append(value.data(), value.size());
     puts_.fetch_add(1, std::memory_order_relaxed);  // mo: relaxed — stats
-    return write(key, Slice(tagged));
+    return write(key, kValueTag, value);
   }
 
   /// Delete key (tombstone write; the key disappears from gets and
   /// scans immediately, storage is reclaimed at compaction).
   Status del(const Slice& key) {
-    const char tomb[1] = {kTombstoneTag};
     deletes_.fetch_add(1, std::memory_order_relaxed);  // mo: relaxed — stats
-    return write(key, Slice(tomb, 1));
+    return write(key, kTombstoneTag, Slice());
   }
 
   /// Point lookup: lock-free under an EpochGuard, which keeps every
   /// structure this thread can reach alive (writers retire rather than
   /// free); in the locked tier, under the shard lock in shared mode.
+  /// The search writes straight into *value, so on NotFound *value is
+  /// unchanged for a key never written and empty for a deleted one.
   Status get(const Slice& key, std::string* value) {
     Shard& s = shard_for(key);
-    std::string tagged;
     bool found;
     if (epoch_reads_) {
       epoch_gets_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
       reclaim::EpochGuard g(*domain_);
-      found = search_shard(s, key, &tagged);
+      found = search_shard(s, key, value);
     } else {
       locked_gets_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
       SharedLockGuard<ShardLock> g(s.mu.value);
-      found = search_shard(s, key, &tagged);
+      found = search_shard(s, key, value);
     }
-    if (!found || tagged.empty() || tagged[0] == kTombstoneTag) {
+    if (!found) return Status::not_found();
+    if (value->empty() || (*value)[0] == kTombstoneTag) {
+      value->clear();
       return Status::not_found();
     }
-    value->assign(tagged.data() + 1, tagged.size() - 1);
+    value->erase(0, 1);  // the value tag
     return Status::ok();
   }
 
@@ -279,7 +277,8 @@ class ShardedDB {
     return *shards_[h % shards_.size()];
   }
 
-  Status write(const Slice& key, const Slice& tagged) {
+  /// Store key -> tag + value (the tags in the file header).
+  Status write(const Slice& key, char tag, const Slice& value) {
     Shard& s = shard_for(key);
     bool flushed = false;
     {
@@ -287,7 +286,7 @@ class ShardedDB {
       // mo: relaxed — mu is held; only flush_shard_locked (also
       // under mu) swings this pointer.
       MemTable* mem = s.mem.load(std::memory_order_relaxed);
-      mem->add(s.next_seq++, key, tagged);
+      mem->add(s.next_seq++, key, Slice(&tag, 1), value);
       if (tables_.full(*mem)) {
         flush_shard_locked(s);
         flushed = true;
@@ -391,5 +390,14 @@ class ShardedDB {
   std::atomic<std::uint64_t> epoch_gets_{0}, locked_gets_{0}, scans_{0},
       puts_{0}, deletes_{0};
 };
+
+// The runtime-selected configuration is compiled once, in
+// sharded_db.cpp; consumers link against that copy. The class
+// instantiation leaves out the constructor templates, so the
+// default-lock constructor is named on its own; a lock-argument
+// list is still instantiated where it is spelled.
+extern template class ShardedDB<AnyLock>;
+extern template ShardedDB<AnyLock>::ShardedDB(ShardedDbOptions,
+                                              reclaim::EpochDomain*);
 
 }  // namespace hemlock::minikv

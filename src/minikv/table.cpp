@@ -5,6 +5,48 @@
 
 namespace hemlock::minikv {
 
+namespace {
+
+/// The key filter's one hash per key: 8 bytes at a time through a
+/// multiply/xor-shift round, then the splitmix64 finalizer. Unrelated
+/// to ShardedDB's FNV-1a router, so a shard's keys, which share their
+/// router hash modulo the shard count, still spread over the filter.
+std::uint64_t filter_hash(const Slice& key) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto round = [](std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t h = (key.size() + 1) * kMul;  // the empty key too
+  const char* p = key.data();
+  std::size_t n = key.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = round(h, w);
+  }
+  if (n > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = round(h, w);
+  }
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+/// The line of `lines` that `hash` maps to: its high half, scaled.
+std::size_t filter_line(std::uint64_t hash, std::size_t lines) {
+  return static_cast<std::size_t>(((hash >> 32) * lines) >> 32);
+}
+
+/// Steps a key's probe word from one of its bits to the next. The
+/// word starts as the hash's low half; each bit of the 512-bit line is
+/// the word's top 9 bits (RocksDB's FastLocalBloom scheme).
+constexpr std::uint32_t kProbeMul = 0x9E3779B9U;
+
+}  // namespace
+
 Block::Block(const char* data, std::size_t size)
     : data_(new char[size]), bytes_(size) {
   assert(size >= sizeof(std::uint32_t));
@@ -47,6 +89,7 @@ void TableBuilder::add(const Slice& key, const Slice& value) {
     index_offsets_.push_back(static_cast<std::uint32_t>(index_keys_.size()));
     index_keys_.append(key.data(), key.size());
   }
+  key_hashes_.push_back(filter_hash(key));
   last_entry_ = data_.size();
   entry_offsets_.push_back(
       static_cast<std::uint32_t>(last_entry_ - block_offsets_.back()));
@@ -89,6 +132,28 @@ ImmutableTable::ImmutableTable(std::uint64_t id, TableBuilder&& built)
     smallest_ = block_first_key(0);
     largest_ = detail::entry_key(data_.data() + built.last_entry_);
   }
+  filter_lines_ = (entries_ * kFilterBitsPerKey + 511) / 512;
+  filter_ = std::make_unique<FilterLine[]>(filter_lines_);  // zeroed
+  for (const std::uint64_t h : built.key_hashes_) {
+    FilterLine& line = filter_[filter_line(h, filter_lines_)];
+    std::uint32_t probe = static_cast<std::uint32_t>(h);
+    for (int i = 0; i < kFilterProbes; ++i, probe *= kProbeMul) {
+      const std::uint32_t bit = probe >> 23;
+      line.words[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
+  }
+}
+
+bool ImmutableTable::may_contain(const Slice& key) const {
+  if (filter_lines_ == 0) return false;  // no keys
+  const std::uint64_t h = filter_hash(key);
+  const FilterLine& line = filter_[filter_line(h, filter_lines_)];
+  std::uint32_t probe = static_cast<std::uint32_t>(h);
+  for (int i = 0; i < kFilterProbes; ++i, probe *= kProbeMul) {
+    const std::uint32_t bit = probe >> 23;
+    if ((line.words[bit / 64] >> (bit % 64) & 1) == 0) return false;
+  }
+  return true;
 }
 
 std::int64_t ImmutableTable::block_for(const Slice& key) const {

@@ -21,6 +21,17 @@
 // a second buffer, with an offset array. No key is a separate heap
 // object, so a probe touches the buffer and nothing behind a pointer.
 //
+// Key filter. Each table carries a blocked Bloom filter over its keys
+// (LevelDB's FilterPolicy, in the cache-line-blocked shape): an array
+// of 64-byte lines, ceil(entries * 10 / 512) of them, so 10 bits per
+// key rounded up to a whole line. A key's one 64-bit hash picks its
+// line with the high half and its 6 bits inside that line with the low
+// half (each probe is the top 9 bits of a running 32-bit product), so
+// a lookup costs one cache miss, not one per probe. ~1% of absent
+// keys pass; no present key is ever rejected. TableBuilder::add
+// hashes each key as it streams in, and the table sets every bit in
+// one pass when it is sealed, so flush and compaction build it alike.
+//
 // Why a miss copies. In LevelDB a block-cache miss is a file read plus
 // a decode; here the table's bytes are already in memory, so
 // read_block() copies the block's byte range into a fresh buffer (one
@@ -99,6 +110,7 @@ class TableBuilder {
   std::size_t fanout_;
   std::size_t entries_ = 0;
   std::string data_;                         ///< sealed blocks
+  std::vector<std::uint64_t> key_hashes_;    ///< filter input, one per key
   std::vector<std::size_t> block_offsets_;   ///< each block's start
   std::string index_keys_;                   ///< first keys, packed
   std::vector<std::uint32_t> index_offsets_; ///< each first key's start
@@ -135,16 +147,34 @@ class ImmutableTable {
   /// Materialize block `idx`: the cache-miss path (see the header).
   std::shared_ptr<Block> read_block(std::size_t idx) const;
 
+  /// False when the key filter rules `key` out: the table does not
+  /// hold it. True for every key it holds, and ~1% of the others.
+  bool may_contain(const Slice& key) const;
+  /// Heap bytes of the key filter.
+  std::size_t filter_bytes() const {
+    return filter_lines_ * sizeof(FilterLine);
+  }
+
   /// First key of the table (empty if no entries).
   Slice smallest() const { return smallest_; }
   /// Last key of the table (empty if no entries).
   Slice largest() const { return largest_; }
 
   static constexpr std::size_t kDefaultBlockFanout = 16;
+  /// Key filter shape (file header).
+  static constexpr std::size_t kFilterBitsPerKey = 10;
+  static constexpr int kFilterProbes = 6;
 
  private:
+  /// One cache line of filter bits.
+  struct alignas(64) FilterLine {
+    std::uint64_t words[8];
+  };
+
   std::uint64_t id_;
   std::size_t entries_;
+  std::unique_ptr<FilterLine[]> filter_;
+  std::size_t filter_lines_ = 0;
   std::string data_;
   std::vector<std::size_t> block_offsets_;  ///< num_blocks() + 1 bounds
   std::string index_keys_;

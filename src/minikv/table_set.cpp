@@ -18,6 +18,10 @@ bool TableSet::get(const MemTable& mem, const TableVersion& version,
         key.compare(table->largest()) > 0) {
       continue;
     }
+    // Key filter: random puts flush tables that span the whole range,
+    // so the range filter passes them all; the Bloom filter skips the
+    // ones that do not hold the key before any block is touched.
+    if (!table->may_contain(key)) continue;
     const std::int64_t idx = table->block_for(key);
     if (idx >= 0 &&
         block(*table, static_cast<std::size_t>(idx))->get(key, value)) {
@@ -48,6 +52,17 @@ std::unique_ptr<TableVersion> TableSet::flushed(const MemTable& mem,
     next->tables.assign(1, merge_tables(*next, options_.block_fanout,
                                         new_table_id(), keep));
     compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    // The folded tables leave with `version`: drop their cached blocks
+    // now instead of waiting for LRU pressure, as LevelDB's
+    // TableCache::Evict does for a deleted file. (The new table in
+    // front was never published, so none of its blocks is cached.) A
+    // reader still on `version` may re-insert a block it fetches; the
+    // LRU ages that out.
+    for (const auto& t : version.tables) {
+      for (std::size_t b = 0; b < t->num_blocks(); ++b) {
+        cache_.erase(BlockKey{t->id(), static_cast<std::uint32_t>(b)});
+      }
+    }
   }
   flushes_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
   return next;

@@ -5,10 +5,13 @@
 // rest lives here once: the storage options, the block cache and the
 // cached block fetch, the DB-unique table ids, the point lookup over
 // a snapshot (memtable, then tables newest first behind their key
-// range filter, as LevelDB's Version::Get) and the flush, which
-// streams a memtable into a new table and folds every table into one
-// past compaction_trigger. Which rows that fold keeps is the caller's
-// `keep` predicate: only the front end knows how it encodes a delete.
+// range filter, as LevelDB's Version::Get, and then their Bloom key
+// filter, as LevelDB's FilterPolicy: a table that cannot hold the key
+// costs no block fetch) and the flush, which streams a memtable into
+// a new table and folds every table into one past compaction_trigger,
+// dropping the folded tables' blocks from the cache. Which rows that
+// fold keeps is the caller's `keep` predicate: only the front end
+// knows how it encodes a delete.
 //
 // A TableSet holds no snapshot and takes no lock: callers search the
 // snapshot they protected and call flushed() under their writer lock.
@@ -72,7 +75,9 @@ class TableSet {
   }
 
   /// Point lookup in the snapshot (mem, version): the memtable, then
-  /// the tables newest first, skipping those whose key range misses.
+  /// the tables newest first, skipping those whose key range misses
+  /// or whose key filter rules the key out. Copies the newest value
+  /// into *value; a miss leaves *value untouched.
   bool get(const MemTable& mem, const TableVersion& version,
            const Slice& key, std::string* value);
 
@@ -85,7 +90,8 @@ class TableSet {
 
   /// The version that replaces `version` once `mem` is flushed: a new
   /// table from `mem` in front of `version`'s tables, folded into one
-  /// table (rows `keep` rejects dropped) past compaction_trigger.
+  /// table (rows `keep` rejects dropped) past compaction_trigger, in
+  /// which case the folded tables' blocks leave the block cache.
   /// nullptr when `mem` is empty. REQUIRES: the caller's writer lock
   /// over (mem, version); the caller publishes the result along with
   /// a fresh memtable.

@@ -1,7 +1,8 @@
 // test_minikv.cpp — unit and integration tests for the MiniKV
 // substrate (the Figure-8 LevelDB substitute): slice, varint
-// encoding, arena, skiplist, memtable, immutable tables, the sharded
-// LRU cache, and the DB facade with its pluggable central mutex.
+// encoding, arena, skiplist, memtable, immutable tables and their key
+// filters, the sharded LRU cache, the TableSet storage core, and the
+// DB facade with its pluggable central mutex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
 #include "minikv/table.hpp"
+#include "minikv/table_set.hpp"
 
 namespace hemlock::minikv {
 namespace {
@@ -217,6 +219,36 @@ TEST(MemTableTest, CursorYieldsNewestValuePerKeyAscending) {
   EXPECT_EQ(got[2], (std::pair<std::string, std::string>{"c", "vc"}));
 }
 
+TEST(MemTableTest, LongKeysSeekPastTheInlineProbe) {
+  // Keys longer than the probe's stack buffer take its heap path.
+  MemTable mem;
+  const std::string a(200, 'a'), b = std::string(200, 'a') + "b";
+  mem.add(1, b, "vb");
+  mem.add(2, a, "va");
+  std::string v;
+  ASSERT_TRUE(mem.get(a, &v));
+  EXPECT_EQ(v, "va");
+  ASSERT_TRUE(mem.get(b, &v));
+  EXPECT_EQ(v, "vb");
+  EXPECT_FALSE(mem.get(std::string(199, 'a'), &v));
+  MemTable::Cursor c(mem, std::string(200, 'a') + "\x01");
+  ASSERT_TRUE(c.valid());
+  EXPECT_EQ(c.key(), Slice(b));
+}
+
+TEST(MemTableTest, PrefixedAddStoresTheJoinedValue) {
+  MemTable mem;
+  mem.add(1, "k", "V", "payload");
+  mem.add(2, "t", "T", "");
+  std::string v = "kept";
+  EXPECT_FALSE(mem.get("absent", &v));
+  EXPECT_EQ(v, "kept");  // a miss leaves *value alone
+  ASSERT_TRUE(mem.get("k", &v));
+  EXPECT_EQ(v, "Vpayload");
+  ASSERT_TRUE(mem.get("t", &v));
+  EXPECT_EQ(v, "T");
+}
+
 // --------------------------------------------------- ImmutableTable --
 using Entries = std::vector<std::pair<std::string, std::string>>;
 
@@ -338,6 +370,34 @@ TEST(ImmutableTableTest, RoundTripsAgainstItsInput) {
   }
 }
 
+TEST(ImmutableTableTest, FilterAdmitsEveryKeyItHolds) {
+  for (const int n : {0, 1, 300}) {
+    SCOPED_TRACE("entries " + std::to_string(n));
+    Entries input = make_binary(n);
+    if (n > 0) input.insert(input.begin(), {std::string(), "empty key"});
+    const auto t = build_table(10, input, 16);
+    for (const auto& [key, value] : input) {
+      EXPECT_TRUE(t->may_contain(key)) << testing::PrintToString(key);
+    }
+    // 10 bits per key, rounded up to whole 64-byte lines.
+    const std::size_t bits = input.size() * ImmutableTable::kFilterBitsPerKey;
+    EXPECT_EQ(t->filter_bytes(), (bits + 511) / 512 * 64);
+  }
+}
+
+TEST(ImmutableTableTest, FilterFalsePositiveRateIsLow) {
+  // Present: even bench keys. Absent: 20k odd ones, fixed seed.
+  constexpr int kPresent = 10000;
+  const auto t = build_table(11, make_sorted(kPresent), 16);
+  Xoshiro256 prng(17);
+  constexpr int kAbsent = 20000;
+  int passed = 0;
+  for (int i = 0; i < kAbsent; ++i) {
+    passed += t->may_contain(bench_key(prng.below(kPresent) * 2 + 1)) ? 1 : 0;
+  }
+  EXPECT_LE(passed, kAbsent * 3 / 100) << passed << " of " << kAbsent;
+}
+
 TEST(ImmutableTableTest, SmallestAndLargestSurviveShortKeys) {
   // One tiny entry: every buffer fits a string's inline storage,
   // which moves with the string's bytes rather than its heap pointer.
@@ -407,6 +467,57 @@ TEST(CacheTest, ReplacingSameKeyUpdatesCharge) {
   EXPECT_EQ(shard.usage(), 400u);
   shard.insert(BlockKey{7, 7}, blk(), 100);
   EXPECT_EQ(shard.usage(), 100u);
+}
+
+// --------------------------------------------------------- TableSet --
+bool keep_all(const Slice&) { return true; }
+
+/// A memtable holding bench keys first, first + step, ... (< end).
+std::unique_ptr<MemTable> memtable_of(std::uint64_t first, std::uint64_t end,
+                                      std::uint64_t step) {
+  auto mem = std::make_unique<MemTable>();
+  std::uint64_t seq = 1;
+  for (std::uint64_t k = first; k < end; k += step) {
+    mem->add(seq++, bench_key(k), "v" + std::to_string(k));
+  }
+  return mem;
+}
+
+TEST(TableSetTest, GetFetchesNoBlockOfATableItsFilterRulesOut) {
+  // Two overlapping tables: evens (older) and odds (newer). The newer
+  // table's range covers every even key, its filter none of them.
+  TableSet set(StorageOptions{});
+  const auto older = set.flushed(*memtable_of(0, 1000, 2), TableVersion{},
+                                 &keep_all);
+  const auto both = set.flushed(*memtable_of(1, 1000, 2), *older, &keep_all);
+  ASSERT_EQ(both->tables.size(), 2u);
+  const MemTable empty;
+  std::string v;
+  ASSERT_TRUE(set.get(empty, *both, bench_key(500), &v));
+  EXPECT_EQ(v, "v500");
+  EXPECT_EQ(set.cache_misses(), 1u);  // the older table's block alone
+  EXPECT_EQ(set.cache_hits(), 0u);
+}
+
+TEST(TableSetTest, CompactionDropsTheFoldedTablesBlocksFromTheCache) {
+  StorageOptions opt;
+  opt.compaction_trigger = 1;  // the second flush folds both tables
+  TableSet set(opt);
+  const auto first = set.flushed(*memtable_of(0, 1000, 1), TableVersion{},
+                                 &keep_all);
+  ASSERT_EQ(first->tables.size(), 1u);
+  const ImmutableTable& folded = *first->tables[0];
+  for (std::size_t b = 0; b < folded.num_blocks(); ++b) set.block(folded, b);
+  ASSERT_EQ(set.cache_misses(), folded.num_blocks());
+  const auto merged = set.flushed(*memtable_of(0, 1000, 3), *first, &keep_all);
+  ASSERT_EQ(merged->tables.size(), 1u);
+  ASSERT_EQ(set.compactions(), 1u);
+  // Every block of the folded table must be fetched afresh.
+  for (std::size_t b = 0; b < folded.num_blocks(); ++b) {
+    const std::uint64_t misses = set.cache_misses();
+    set.block(folded, b);
+    EXPECT_EQ(set.cache_misses(), misses + 1) << "block " << b;
+  }
 }
 
 // --------------------------------------------------------------- DB --

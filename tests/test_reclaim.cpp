@@ -271,6 +271,24 @@ TEST_P(ShardedDbTiers, GetPutDeleteRoundTrip) {
   EXPECT_EQ(v, "back");
 }
 
+TEST_P(ShardedDbTiers, NotFoundLeavesValueAsDocumented) {
+  EpochDomain domain;
+  ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
+  ASSERT_TRUE(db.put("gone", "v").is_ok());
+  ASSERT_TRUE(db.del("gone").is_ok());
+  std::string v = "kept";
+  EXPECT_TRUE(db.get("never", &v).is_not_found());
+  EXPECT_EQ(v, "kept");  // never written: untouched
+  EXPECT_TRUE(db.get("gone", &v).is_not_found());
+  EXPECT_EQ(v, "");  // deleted: emptied
+  db.flush();
+  v = "kept";
+  EXPECT_TRUE(db.get("never", &v).is_not_found());
+  EXPECT_EQ(v, "kept");
+  EXPECT_TRUE(db.get("gone", &v).is_not_found());
+  EXPECT_EQ(v, "");
+}
+
 TEST_P(ShardedDbTiers, TombstonesSurviveFlushAndCompaction) {
   EpochDomain domain;
   ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
